@@ -22,7 +22,7 @@ use crate::probability::increment;
 use crate::sample_graph::SampleGraph;
 use crate::stats::ProcessingStats;
 use abacus_graph::persist::{Decoder, Encoder, PersistError};
-use abacus_graph::{FxHashMap, NeighborhoodView, Side, VertexRef};
+use abacus_graph::{cheapest_side_is_left, FxHashMap, Side, VertexRef};
 use abacus_sampling::{RandomPairing, RandomPairingState};
 use abacus_stream::{EdgeDelta, StreamElement};
 use rand::rngs::StdRng;
@@ -110,9 +110,11 @@ impl LocalAbacus {
         // Iterate the cheaper endpoint's neighborhood, mirroring the kernel in
         // `abacus_graph::peredge` but keeping the identity of the fourth
         // vertex so it can be credited.
-        let iterate_left =
-            self.sample.view_neighbor_degree_sum(u) < self.sample.view_neighbor_degree_sum(v);
-        let (anchor, other) = if iterate_left { (u, v) } else { (v, u) };
+        let (anchor, other) = if cheapest_side_is_left(&self.sample, edge) {
+            (u, v)
+        } else {
+            (v, u)
+        };
         let wedge_side = anchor.side.opposite();
 
         let mut updates: Vec<(VertexRef, VertexRef)> = Vec::new();

@@ -14,12 +14,13 @@
 //! remove and membership operations — exactly what the per-edge butterfly
 //! counting kernel needs.
 //!
-//! Large sets additionally memoise a sorted copy of their elements
-//! ([`LargeSet::sorted`], invalidated on every mutation) so that the
-//! intersection kernels can switch to a cache-friendly sorted-merge when both
-//! operands are hubs — the hot case of the per-edge counting phase, where the
-//! sample is frozen and the cache is built once and reused for every
-//! intersection of the batch.
+//! Large sets additionally keep a sorted copy of their elements
+//! ([`LargeSet::sorted`]) so that the intersection kernels can switch to a
+//! cache-friendly sorted-merge when both operands are hubs — the hot case of
+//! the per-edge counting phase.  The copy is built on the first merge and from
+//! then on updated in place by every insert and remove, so a hub that keeps
+//! changing between merges pays one binary search and one shift per mutation
+//! instead of a full re-sort.
 
 use crate::fxhash::FxHashSet;
 use std::collections::hash_set;
@@ -49,9 +50,11 @@ pub const SMALL_PRESIZE: usize = 8;
 /// The sorted copy feeds the sorted-merge intersection kernel
 /// ([`crate::intersect::intersection_count`] and friends).  It is built on
 /// first use — typically during a counting phase, when the owning graph is
-/// immutable — and dropped by any subsequent mutation, so it can never go
-/// stale.  Building is thread-safe ([`OnceLock`]), which matters because
-/// PARABACUS worker threads intersect shared, frozen samples concurrently.
+/// immutable — and kept current afterwards: a successful insert or remove
+/// patches it in place, so it never goes stale.  Only [`AdjacencySet::clear`]
+/// drops it.  Building is thread-safe ([`OnceLock`]), which matters because
+/// PARABACUS worker threads intersect shared, frozen samples concurrently;
+/// patching needs `&mut self`, so it never races a build.
 #[derive(Debug, Clone, Default)]
 pub struct LargeSet {
     set: FxHashSet<u32>,
@@ -66,7 +69,8 @@ impl LargeSet {
         }
     }
 
-    /// The elements in ascending order, memoised until the next mutation.
+    /// The elements in ascending order, built on first use and kept current
+    /// by later mutations.
     #[must_use]
     pub fn sorted(&self) -> &[u32] {
         self.sorted.get_or_init(|| {
@@ -76,10 +80,10 @@ impl LargeSet {
         })
     }
 
-    /// Length of the memoised sorted copy, or `None` when it has not been
-    /// built since the last mutation.  Peeking never builds the copy — the
-    /// estimators use this for honest memory accounting without inflating
-    /// the very footprint they are measuring.
+    /// Length of the resident sorted copy, or `None` when it has not been
+    /// built since the set was promoted or last cleared.  Peeking never
+    /// builds the copy — the estimators use this for honest memory
+    /// accounting without inflating the very footprint they are measuring.
     #[must_use]
     pub fn sorted_cache_len(&self) -> Option<usize> {
         self.sorted.get().map(Vec::len)
@@ -103,8 +107,21 @@ impl LargeSet {
         self.set.contains(&x)
     }
 
-    fn invalidate(&mut self) {
-        self.sorted.take();
+    /// Records a successful insert of `x` in the sorted copy, if built.
+    fn sorted_insert(&mut self, x: u32) {
+        if let Some(sorted) = self.sorted.get_mut() {
+            let pos = sorted.partition_point(|&y| y < x);
+            sorted.insert(pos, x);
+        }
+    }
+
+    /// Records a successful removal of `x` in the sorted copy, if built.
+    fn sorted_remove(&mut self, x: u32) {
+        if let Some(sorted) = self.sorted.get_mut() {
+            let pos = sorted.partition_point(|&y| y < x);
+            debug_assert_eq!(sorted.get(pos), Some(&x));
+            sorted.remove(pos);
+        }
     }
 }
 
@@ -227,7 +244,7 @@ impl AdjacencySet {
             AdjacencySet::Large(s) => {
                 let inserted = s.set.insert(x);
                 if inserted {
-                    s.invalidate();
+                    s.sorted_insert(x);
                 }
                 inserted
             }
@@ -248,7 +265,7 @@ impl AdjacencySet {
             AdjacencySet::Large(s) => {
                 let removed = s.set.remove(&x);
                 if removed {
-                    s.invalidate();
+                    s.sorted_remove(x);
                 }
                 removed
             }
@@ -261,7 +278,7 @@ impl AdjacencySet {
             AdjacencySet::Small(v) => v.clear(),
             AdjacencySet::Large(s) => {
                 s.set.clear();
-                s.invalidate();
+                s.sorted.take();
             }
         }
     }
@@ -295,7 +312,7 @@ impl AdjacencySet {
 
     /// The large-set representation, if this set has been promoted.
     ///
-    /// The intersection kernels use this to reach the memoised sorted copy
+    /// The intersection kernels use this to reach the resident sorted copy
     /// without exposing the representation choice anywhere else.
     #[must_use]
     pub fn as_large(&self) -> Option<&LargeSet> {
@@ -322,7 +339,7 @@ impl AdjacencySet {
             // A hashbrown bucket stores the element plus one control byte and
             // the table is at most ~8/7 over-allocated; 8 bytes/entry of
             // capacity is a serviceable estimate for accounting purposes.
-            // The memoised sorted copy is accounted only once built.
+            // The sorted copy is accounted only while resident.
             AdjacencySet::Large(s) => {
                 size_of::<LargeSet>()
                     + s.set.capacity() * 8
@@ -495,25 +512,37 @@ mod tests {
     }
 
     #[test]
-    fn sorted_cache_is_built_lazily_and_invalidated_on_mutation() {
+    fn sorted_cache_is_built_lazily_and_kept_current_by_mutations() {
         let mut s: AdjacencySet = (0..80u32).rev().collect();
         let large = s.as_large().expect("80 elements must be Large");
+        assert_eq!(large.sorted_cache_len(), None);
         let expected: Vec<u32> = (0..80).collect();
         assert_eq!(large.sorted(), &expected[..]);
 
-        s.insert(200);
-        let mut expected: Vec<u32> = (0..80).collect();
-        expected.push(200);
+        // Successful mutations patch the resident copy instead of dropping it.
+        assert!(s.insert(200));
+        assert!(s.insert(40_000));
+        assert!(s.remove(0));
+        assert!(s.remove(41));
+        let expected: Vec<u32> = (1..80).filter(|&x| x != 41).chain([200, 40_000]).collect();
+        assert_eq!(
+            s.as_large().unwrap().sorted_cache_len(),
+            Some(expected.len())
+        );
         assert_eq!(s.as_large().unwrap().sorted(), &expected[..]);
 
-        s.remove(0);
-        assert_eq!(s.as_large().unwrap().sorted(), &expected[1..]);
-
-        // Failed mutations keep the cache.
+        // Failed mutations leave the copy untouched.
         let before = s.as_large().unwrap().sorted().as_ptr();
-        s.insert(200);
-        s.remove(0);
+        assert!(!s.insert(200));
+        assert!(!s.remove(0));
         assert_eq!(s.as_large().unwrap().sorted().as_ptr(), before);
+        assert_eq!(s.as_large().unwrap().sorted(), &expected[..]);
+
+        // Clearing drops the copy; the next use rebuilds it.
+        s.clear();
+        assert_eq!(s.as_large().unwrap().sorted_cache_len(), None);
+        assert!(s.insert(7));
+        assert_eq!(s.as_large().unwrap().sorted(), &[7]);
 
         assert!(AdjacencySet::new().as_large().is_none());
     }
@@ -543,6 +572,35 @@ mod tests {
             let got = sut.to_sorted_vec();
             let want: Vec<u32> = reference.into_iter().collect();
             prop_assert_eq!(got, want);
+        }
+
+        /// A hub's sorted copy, once built, equals `to_sorted_vec()` after
+        /// any interleaving of inserts and removes — it is patched in place,
+        /// never left stale.  The copy is built at an arbitrary point of the
+        /// sequence, so ops before it exercise the not-yet-built path.
+        #[test]
+        fn resident_sorted_copy_tracks_mutations(
+            ops in proptest::collection::vec((any::<bool>(), 0u32..300), 0..400),
+            build_at in 0usize..400,
+        ) {
+            let mut sut: AdjacencySet = (0..100u32).map(|x| x * 3).collect();
+            for (i, (is_insert, x)) in ops.into_iter().enumerate() {
+                if i == build_at {
+                    let _ = sut.as_large().expect("hub stays Large").sorted();
+                }
+                if is_insert {
+                    sut.insert(x);
+                } else {
+                    sut.remove(x);
+                }
+                let large = sut.as_large().expect("hub stays Large");
+                if i >= build_at {
+                    prop_assert_eq!(large.sorted_cache_len(), Some(sut.len()));
+                    prop_assert_eq!(large.sorted(), &sut.to_sorted_vec()[..]);
+                } else {
+                    prop_assert_eq!(large.sorted_cache_len(), None);
+                }
+            }
         }
     }
 }

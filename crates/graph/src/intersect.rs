@@ -12,9 +12,10 @@
 //!   production kernels over [`AdjacencySet`]s.  They probe the larger set
 //!   with the elements of the smaller one, **except** when both operands are
 //!   hash-backed hubs of comparable size: then they switch to a two-pointer
-//!   sorted merge over the sets' memoised sorted copies
-//!   ([`LargeSet::sorted`](crate::adjacency::LargeSet::sorted)), which walks
-//!   memory sequentially instead of cache-missing once per probe,
+//!   sorted merge over the sets' sorted copies
+//!   ([`LargeSet::sorted`](crate::adjacency::LargeSet::sorted), built on a
+//!   hub's first merge and patched in place by later inserts and removes),
+//!   which walks memory sequentially instead of cache-missing once per probe,
 //! * [`sorted_merge_intersection_count`] — the bare two-pointer merge over
 //!   sorted slices, usable directly and kept as an ablation target for the
 //!   micro-benchmarks,
@@ -157,7 +158,7 @@ fn merge_applies(small: &AdjacencySet, large: &AdjacencySet, tuning: KernelTunin
         && large.len() <= small.len().saturating_mul(tuning.merge_size_ratio)
 }
 
-/// Two-pointer match count over the memoised sorted copies, skipping
+/// Two-pointer match count over the resident sorted copies, skipping
 /// `exclude` (pass a value outside the id space to skip nothing).
 #[inline]
 fn merge_count(small: &AdjacencySet, large: &AdjacencySet, exclude: Option<u32>) -> u64 {
@@ -608,7 +609,7 @@ mod tests {
     #[test]
     fn hub_pairs_take_the_merge_path_with_probe_model_comparisons() {
         // Both sets are Large (>32 elements) and comparably sized, so the
-        // kernels merge the memoised sorted copies — but the reported
+        // kernels merge the resident sorted copies — but the reported
         // comparisons must still follow the probe model.
         let a: AdjacencySet = (0..60u32).collect();
         let b: AdjacencySet = (30..100u32).collect();

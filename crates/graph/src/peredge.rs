@@ -16,6 +16,12 @@
 //! The *cheapest-side heuristic* (line 7) picks which endpoint's neighborhood
 //! to iterate: the one whose neighbors have the smaller cumulative degree, so
 //! that the set intersections probe the smaller sets.
+//! [`cheapest_side_is_left`] decides that comparison exactly but without
+//! always summing both sides in full: it sums the lower-degree endpoint, then
+//! stops looking up the other endpoint's neighbor degrees as soon as a lower
+//! bound on their sum settles the outcome.  On hub-skewed samples that skips
+//! most of the degree lookups, which otherwise cost about as much as the
+//! intersections themselves.
 
 use crate::bipartite::BipartiteGraph;
 use crate::edge::Edge;
@@ -134,11 +140,7 @@ pub fn count_butterflies_with_edge_choice<G: NeighborhoodView + ?Sized>(
     let iterate_left_endpoint = match choice {
         SideChoice::IterateLeftNeighbors => true,
         SideChoice::IterateRightNeighbors => false,
-        SideChoice::Cheapest => {
-            // Line 7: if the cumulative degree of u's neighbors is smaller,
-            // "choose v", i.e. iterate the neighbors of u.
-            view.view_neighbor_degree_sum(u) < view.view_neighbor_degree_sum(v)
-        }
+        SideChoice::Cheapest => cheapest_side_is_left(view, edge),
     };
 
     if iterate_left_endpoint {
@@ -146,6 +148,64 @@ pub fn count_butterflies_with_edge_choice<G: NeighborhoodView + ?Sized>(
     } else {
         count_via_anchor(view, v, u)
     }
+}
+
+/// Algorithm 1, line 7: whether the kernel should iterate the neighbors of
+/// the *left* endpoint `u` of `edge` rather than those of the right endpoint
+/// `v`.
+///
+/// Returns exactly `view_neighbor_degree_sum(u) < view_neighbor_degree_sum(v)`
+/// (so ties iterate `v`), but computes only as much of the two sums as the
+/// comparison needs: the endpoint with the lower degree is summed in full,
+/// and the other endpoint's neighbor degrees are looked up only until a
+/// lower bound on their sum decides the outcome.
+#[must_use]
+pub fn cheapest_side_is_left<G: NeighborhoodView + ?Sized>(view: &G, edge: Edge) -> bool {
+    let u = edge.left_ref();
+    let v = edge.right_ref();
+    let u_first = view.view_degree(u) <= view.view_degree(v);
+    let (first, second) = if u_first { (u, v) } else { (v, u) };
+    let first_sum = view.view_neighbor_degree_sum(first);
+    if u_first {
+        // S(u) < S(v)  ⇔  S(v) ≥ S(u) + 1.
+        neighbor_degree_sum_reaches(view, second, first_sum + 1)
+    } else {
+        // S(u) < S(v)  ⇔  ¬(S(u) ≥ S(v)).
+        !neighbor_degree_sum_reaches(view, second, first_sum)
+    }
+}
+
+/// Whether `view.view_neighbor_degree_sum(v) >= limit`, looking up neighbor
+/// degrees only until the answer is certain.
+///
+/// Every neighbor of `v` is adjacent to `v` in a consistent view, so its
+/// degree is at least 1.  The partial sum plus the number of neighbors not
+/// yet visited is therefore a lower bound on the full sum; once it reaches
+/// `limit` the remaining degree lookups are skipped.  When it never does,
+/// the walk ends with the full sum, so the answer is exact either way.
+fn neighbor_degree_sum_reaches<G: NeighborhoodView + ?Sized>(
+    view: &G,
+    v: VertexRef,
+    limit: usize,
+) -> bool {
+    let mut unvisited = view.view_degree(v);
+    if unvisited >= limit {
+        return true;
+    }
+    let opposite = v.side.opposite();
+    let mut partial = 0usize;
+    let mut reached = false;
+    view.view_for_each_neighbor(v, &mut |x| {
+        if reached {
+            return;
+        }
+        let degree = view.view_degree(VertexRef::new(opposite, x));
+        debug_assert!(degree >= 1, "neighbor {x} of {v:?} has degree 0");
+        partial += degree;
+        unvisited = unvisited.saturating_sub(1);
+        reached = partial + unvisited >= limit;
+    });
+    reached
 }
 
 /// Counts `Σ_{w ∈ N(anchor) \ {other}} |N(w) ∩ N(other) \ {anchor}|`.

@@ -8,7 +8,7 @@
 //!
 //! # Memory layout (interned struct-of-arrays)
 //!
-//! Adjacency state lives in two per-side [`SideTable`]s.  Each table interns
+//! Adjacency state lives in two per-side `SideTable`s.  Each table interns
 //! the raw stream vertex ids into dense `u32` indexes and keeps the actual
 //! neighbor sets in a contiguous slab:
 //!
@@ -272,7 +272,7 @@ impl SampleGraph {
         true
     }
 
-    /// Total entries held by the memoised sorted copies of hub adjacency
+    /// Total entries held by the resident sorted copies of hub adjacency
     /// sets ([`abacus_graph::adjacency::LargeSet::sorted`]) — auxiliary
     /// storage the estimators charge (in edge equivalents) to their
     /// `memory_edges` accounting.
@@ -315,7 +315,7 @@ impl SampleGraph {
     ///    Edges are written in slot order and re-inserted in that order.
     /// 2. **Interner state.** Dense id assignment and the LIFO free list are
     ///    history-dependent (slots are recycled in reverse order of their
-    ///    release), so each [`SideTable`]'s reverse array and free list are
+    ///    release), so each `SideTable`'s reverse array and free list are
     ///    written verbatim — a resumed run allocates the same dense slots the
     ///    original would have.
     /// 3. **Adjacency representation.** [`AdjacencySet`] promotes from the
@@ -323,11 +323,12 @@ impl SampleGraph {
     ///    threshold and never demotes, which steers kernel selection.  A set
     ///    that grew large and then shrank would be rebuilt small, so the
     ///    promoted vertices are recorded and re-promoted explicitly.
-    /// 4. **Sorted caches.** Memoised sorted copies of hub sets count toward
-    ///    `memory_edges` accounting, so which caches exist is recorded and
+    /// 4. **Sorted caches.** A hub set's sorted copy, once built, stays
+    ///    resident (mutations patch it in place) and counts toward
+    ///    `memory_edges` accounting, so which copies exist is recorded and
     ///    they are rebuilt eagerly on restore.
     ///
-    /// The payload opens with [`SOA_SAMPLE_MARKER`]; payloads from before the
+    /// The payload opens with `SOA_SAMPLE_MARKER`; payloads from before the
     /// interned layout open with their edge count instead and decode through
     /// the legacy path of [`SampleGraph::restore_state`].
     pub fn encode_state(&self, enc: &mut Encoder) {
@@ -395,20 +396,20 @@ impl SampleGraph {
                 "unknown sample-store format version {version}"
             )));
         }
-        let n = dec.get_usize()?;
+        let n = get_len(dec, 8, "edges")?;
         let mut edges = Vec::with_capacity(n);
         for _ in 0..n {
             edges.push(Edge::new(dec.get_u32()?, dec.get_u32()?));
         }
         for side in [Side::Left, Side::Right] {
-            let dense_len = dec.get_usize()?;
+            let dense_len = get_len(dec, 4, "dense slots")?;
             let table = self.side_mut(side);
             table.raw.reserve(dense_len);
             for _ in 0..dense_len {
                 table.raw.push(dec.get_u32()?);
             }
             table.adj.resize_with(dense_len, AdjacencySet::new);
-            let free_len = dec.get_usize()?;
+            let free_len = get_len(dec, 4, "freed slots")?;
             if free_len > dense_len {
                 return Err(PersistError::Corrupt(format!(
                     "sample snapshot frees {free_len} of {dense_len} {side:?} slots"
@@ -533,7 +534,7 @@ impl SampleGraph {
     /// the space-complexity sanity tests and the `bytes_per_sampled_edge`
     /// perf_smoke metric).  Counts the interner tables and the adjacency
     /// slab headers, not just inner set storage — see
-    /// [`SideTable::heap_bytes`].
+    /// `SideTable::heap_bytes`.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         self.left.heap_bytes()
@@ -541,6 +542,20 @@ impl SampleGraph {
             + self.edges.capacity() * size_of::<Edge>()
             + self.slots.capacity() * (size_of::<EdgeKey>() + size_of::<u32>() + 1)
     }
+}
+
+/// Reads the length prefix of a list of `entry_bytes`-byte entries, rejecting
+/// a length the rest of the payload cannot hold before anything is allocated
+/// for it.
+fn get_len(dec: &mut Decoder<'_>, entry_bytes: usize, what: &str) -> Result<usize, PersistError> {
+    let len = dec.get_usize()?;
+    if len > dec.remaining() / entry_bytes {
+        return Err(PersistError::Corrupt(format!(
+            "sample snapshot claims {len} {what} but only {} bytes remain",
+            dec.remaining()
+        )));
+    }
+    Ok(len)
 }
 
 impl SampleStore<Edge> for SampleGraph {
@@ -894,6 +909,35 @@ mod tests {
         let mut ok = SampleGraph::new();
         ok.restore_state(&mut Decoder::new(&good)).unwrap();
         assert_eq!(ok.edges(), s.edges());
+    }
+
+    #[test]
+    fn restore_rejects_lengths_the_payload_cannot_hold() {
+        // 20 bytes claiming 2^61 edges: allocating for the claim would
+        // overflow capacity, so it must fail as corrupt before allocating.
+        let mut enc = Encoder::new();
+        enc.put_usize(SOA_SAMPLE_MARKER);
+        enc.put_u8(SOA_SAMPLE_VERSION);
+        enc.put_usize(1 << 61);
+        enc.put_raw(&[0; 3]);
+        let bytes = enc.finish();
+        assert_eq!(bytes.len(), 20);
+        let err = SampleGraph::new()
+            .restore_state(&mut Decoder::new(&bytes))
+            .unwrap_err();
+        assert!(matches!(err, PersistError::Corrupt(_)), "{err:?}");
+
+        // The same for a per-side dense table length.
+        let mut enc = Encoder::new();
+        enc.put_usize(SOA_SAMPLE_MARKER);
+        enc.put_u8(SOA_SAMPLE_VERSION);
+        enc.put_usize(0); // no edges
+        enc.put_usize(1 << 62); // left dense table
+        let bytes = enc.finish();
+        let err = SampleGraph::new()
+            .restore_state(&mut Decoder::new(&bytes))
+            .unwrap_err();
+        assert!(matches!(err, PersistError::Corrupt(_)), "{err:?}");
     }
 
     #[test]
